@@ -90,6 +90,42 @@ def delta_factor(c_m: complex, modval: complex) -> float:
     return math.sqrt(1.0 - cm2 + cm2 * abs(modval) ** 2)
 
 
+def fail_first_row(bad: np.ndarray, error) -> None:
+    """Raise ``error(i)`` for the first row ``i`` where ``bad`` holds.
+
+    The exception carries the row as ``row``, so a caller evaluating a block
+    of rows can tell which row failed first.
+    """
+    if bad.any():
+        i = int(np.argmax(bad))
+        exc = error(i)
+        exc.row = i
+        raise exc
+
+
+def post_select_rows(amps: np.ndarray, m: np.ndarray, modvals: np.ndarray,
+                     ps_paper: np.ndarray) -> np.ndarray:
+    """Batched analytic route: scale column ``m`` of each row by its modular value.
+
+    ``amps`` holds one initial pointer per row and is overwritten with the
+    normalized final pointers; ``ps_paper`` is ``cos^2(theta1)`` per row and
+    the exact post-selection probabilities are returned.  The arithmetic and
+    the post-selection floor are those of :func:`final_pointer_analytic`,
+    applied row-wise.
+    """
+    rows = np.arange(amps.shape[0])
+    c_m = amps[rows, m]
+    cm2 = np.abs(c_m) ** 2
+    delta = np.sqrt(1.0 - cm2 + cm2 * np.abs(modvals) ** 2)
+    fail_first_row(delta**2 < DEFAULT_PS_FLOOR, lambda i: PostSelectionError(
+        f"degenerate post-selection: |c_m| = {abs(c_m[i]):.3e} with modular value "
+        f"{complex(modvals[i])!r} leaves no final-state weight"))
+    amps[rows, m] *= modvals
+    amps /= delta[:, None]
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=-1))[:, None]
+    return ps_paper * delta**2
+
+
 def final_pointer_analytic(cfg: MeasurementConfig,
                            leak_tol: float = DEFAULT_LEAK_TOL) -> PostSelectedPointer:
     """Final pointer from the per-level closed form.

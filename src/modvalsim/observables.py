@@ -17,7 +17,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .measurement_engine import MeasurementConfig, PostSelectedPointer, final_pointer_analytic
+from .measurement_engine import (
+    MeasurementConfig,
+    PostSelectedPointer,
+    fail_first_row,
+    final_pointer_analytic,
+)
 from .pointer_states import Cat, Coherent, PointerState, Squeezed, annihilation_op, build_pointer
 from .qubit_system import modular_value
 
@@ -55,12 +60,7 @@ class SnrInput:
     signal_mode: str = SNR_MODE_SHIFT
 
     def __post_init__(self):
-        if self.n_total < 1:
-            raise ValueError("n_total must be a positive integer")
-        if not 0.0 < self.ps <= 1.0:
-            raise ValueError("ps must lie in (0, 1]")
-        if self.signal_mode not in (SNR_MODE_FINAL, SNR_MODE_SHIFT):
-            raise ValueError(f"unknown signal mode {self.signal_mode!r}")
+        check_snr_inputs(np.array([self.n_total]), np.array([self.ps]), self.signal_mode)
 
 
 @dataclass(frozen=True)
@@ -82,58 +82,117 @@ def _amplitudes(state: _State) -> np.ndarray:
     return np.asarray(state.amplitudes, dtype=complex)
 
 
-def number_distribution(state: _State) -> np.ndarray:
-    """``p(n) = |c_n|^2`` of a unit-norm state."""
-    p = np.abs(_amplitudes(state)) ** 2
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"state norm {total!r} is not 1; distribution undefined")
+# Kernels over the last axis: each takes a (rows, dim) block of amplitude
+# vectors and returns one value per row.  The scalar functions below apply
+# them to a single row, so both routes share every formula and every check.
+
+def number_distribution_rows(amps: np.ndarray) -> np.ndarray:
+    """Row-wise ``p(n) = |c_n|^2`` of unit-norm states."""
+    p = np.abs(amps) ** 2
+    total = np.sum(p, axis=-1)
+    fail_first_row(np.abs(total - 1.0) > 1e-9, lambda i: ValueError(
+        f"state norm {float(total[i])!r} is not 1; distribution undefined"))
     return p
 
 
+def _mean_number(p: np.ndarray) -> np.ndarray:
+    return np.sum(np.arange(p.shape[-1]) * p, axis=-1)
+
+
+def _second_factorial(p: np.ndarray) -> np.ndarray:
+    n = np.arange(p.shape[-1])
+    return np.sum(n * (n - 1) * p, axis=-1)
+
+
+def mandel_q_rows(amps: np.ndarray) -> np.ndarray:
+    """Row-wise Mandel Q; fails on the first row with (numerically) no photons."""
+    p = number_distribution_rows(amps)
+    nbar = _mean_number(p)
+    fail_first_row(nbar <= 1e-12, lambda i: ValueError(
+        "Mandel Q is undefined for the vacuum (zero mean photon number)"))
+    return (_second_factorial(p) - nbar**2) / nbar
+
+
+def _ladder_expectation(amps: np.ndarray) -> np.ndarray:
+    # <a> = sum_k conj(c_k) c_{k+1} sqrt(k+1)
+    terms = np.conj(amps[..., :-1])
+    terms *= amps[..., 1:]
+    terms *= np.sqrt(np.arange(1.0, amps.shape[-1]))
+    return np.sum(terms, axis=-1)
+
+
+def _ladder_squared_expectation(amps: np.ndarray) -> np.ndarray:
+    # <a^2> = sum_k conj(c_k) c_{k+2} sqrt((k+1)(k+2))
+    k = np.arange(amps.shape[-1] - 2)
+    terms = np.conj(amps[..., :-2])
+    terms *= amps[..., 2:]
+    terms *= np.sqrt((k + 1.0) * (k + 2.0))
+    return np.sum(terms, axis=-1)
+
+
+def quadrature_mean_rows(amps: np.ndarray, theta) -> np.ndarray:
+    """Row-wise ``<X_theta>``; ``theta`` is one angle or one per row."""
+    return math.sqrt(2.0) * (np.exp(-1j * np.asarray(theta)) * _ladder_expectation(amps)).real
+
+
+def quadrature_second_moment_rows(amps: np.ndarray, theta) -> np.ndarray:
+    """Row-wise ``<X_theta^2> = <n> + 1/2 + Re(e^{-2 i theta} <a^2>)``."""
+    nbar = _mean_number(np.abs(amps) ** 2)
+    return nbar + 0.5 + (np.exp(-2j * np.asarray(theta))
+                         * _ladder_squared_expectation(amps)).real
+
+
+def check_snr_inputs(n_total: np.ndarray, ps: np.ndarray, signal_mode: str) -> None:
+    """Row-wise validation of the SNR resources (see :class:`SnrInput`)."""
+    fail_first_row(n_total < 1, lambda i: ValueError("n_total must be a positive integer"))
+    fail_first_row(~((0.0 < ps) & (ps <= 1.0)), lambda i: ValueError("ps must lie in (0, 1]"))
+    if signal_mode not in (SNR_MODE_FINAL, SNR_MODE_SHIFT):
+        raise ValueError(f"unknown signal mode {signal_mode!r}")
+
+
+def snr_rows(mean_final: np.ndarray, second_final: np.ndarray,
+             mean_initial: Optional[np.ndarray], n_total: np.ndarray,
+             ps: np.ndarray) -> np.ndarray:
+    """Row-wise ``sqrt(N * P_s) |signal| / std(X_theta)`` from the quadrature moments.
+
+    The signal is the final-state mean, or its shift from ``mean_initial``
+    when that is given.
+    """
+    variance = second_final - mean_final**2
+    fail_first_row(variance <= 0.0, lambda i: ValueError(
+        f"non-positive quadrature variance {float(variance[i])!r}; "
+        f"the truncated state is unusable"))
+    signal = mean_final if mean_initial is None else mean_final - mean_initial
+    return np.sqrt(n_total * ps) * np.abs(signal) / np.sqrt(variance)
+
+
+def number_distribution(state: _State) -> np.ndarray:
+    """``p(n) = |c_n|^2`` of a unit-norm state."""
+    return number_distribution_rows(_amplitudes(state)[None])[0]
+
+
 def mean_photon_number(state: _State) -> float:
-    p = number_distribution(state)
-    return float(np.arange(p.size) @ p)
+    return float(_mean_number(number_distribution(state)))
 
 
 def second_factorial_moment(state: _State) -> float:
     """``<a+ a+ a a> = sum n (n-1) p(n)``."""
-    p = number_distribution(state)
-    n = np.arange(p.size)
-    return float((n * (n - 1)) @ p)
+    return float(_second_factorial(number_distribution(state)))
 
 
 def mandel_q(state: _State) -> float:
     """``(<a+ a+ a a> - <n>^2) / <n>``: 0 for coherent light, -1 for a Fock state."""
-    nbar = mean_photon_number(state)
-    if nbar <= 1e-12:
-        raise ValueError("Mandel Q is undefined for the vacuum (zero mean photon number)")
-    return (second_factorial_moment(state) - nbar**2) / nbar
-
-
-def _ladder_expectation(amps: np.ndarray) -> complex:
-    # <a> = sum_k conj(c_k) c_{k+1} sqrt(k+1)
-    k = np.arange(amps.size - 1)
-    return complex(np.sum(np.conj(amps[:-1]) * amps[1:] * np.sqrt(k + 1.0)))
-
-
-def _ladder_squared_expectation(amps: np.ndarray) -> complex:
-    # <a^2> = sum_k conj(c_k) c_{k+2} sqrt((k+1)(k+2))
-    k = np.arange(amps.size - 2)
-    return complex(np.sum(np.conj(amps[:-2]) * amps[2:] * np.sqrt((k + 1.0) * (k + 2.0))))
+    return float(mandel_q_rows(_amplitudes(state)[None])[0])
 
 
 def quadrature_mean(state: _State, q: QuadratureSpec = QuadratureSpec()) -> float:
     """``<X_theta>`` from ladder matrix elements; no family assumptions."""
-    amps = _amplitudes(state)
-    return math.sqrt(2.0) * (cmath.exp(-1j * q.theta) * _ladder_expectation(amps)).real
+    return float(quadrature_mean_rows(_amplitudes(state)[None], q.theta)[0])
 
 
 def quadrature_second_moment(state: _State, q: QuadratureSpec = QuadratureSpec()) -> float:
     """``<X_theta^2> = <n> + 1/2 + Re(e^{-2 i theta} <a^2>)``."""
-    amps = _amplitudes(state)
-    nbar = float(np.arange(amps.size) @ (np.abs(amps) ** 2))
-    return nbar + 0.5 + (cmath.exp(-2j * q.theta) * _ladder_squared_expectation(amps)).real
+    return float(quadrature_second_moment_rows(_amplitudes(state)[None], q.theta)[0])
 
 
 def quadrature_operator(q: QuadratureSpec, dim: int) -> np.ndarray:
@@ -150,17 +209,10 @@ def snr(final: PostSelectedPointer, initial: PointerState,
     final-minus-initial shift (``shift`` mode); ``P_s`` comes from the caller
     through ``inp`` so either probability convention can be used.
     """
-    mean_final = quadrature_mean(final, q)
-    variance = quadrature_second_moment(final, q) - mean_final**2
-    if variance <= 0.0:
-        raise ValueError(
-            f"non-positive quadrature variance {variance!r}; the truncated state is unusable"
-        )
-    if inp.signal_mode == SNR_MODE_FINAL:
-        signal = mean_final
-    else:
-        signal = mean_final - quadrature_mean(initial, q)
-    return math.sqrt(inp.n_total * inp.ps) * abs(signal) / math.sqrt(variance)
+    mean_final = np.array([quadrature_mean(final, q)])
+    second_final = np.array([quadrature_second_moment(final, q)])
+    mean_initial = None if inp.signal_mode == SNR_MODE_FINAL else quadrature_mean(initial, q)
+    return float(snr_rows(mean_final, second_final, mean_initial, inp.n_total, inp.ps)[0])
 
 
 # --- verbatim published closed forms, evaluated as cross-checks ---------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,9 +34,20 @@ DEFAULT_DIM = 64
 #: Default upper bound on the probability mass beyond the cutoff.
 DEFAULT_LEAK_TOL = 1e-10
 
+#: Squared norm below which a cat superposition cannot be told from zero: the
+#: parity factor ``1 + e^{i phi}`` of magnitude up to 2 is rounded to ~2 eps.
+_CAT_NORM_FLOOR = (2.0 * sys.float_info.epsilon) ** 2
+
 
 class TruncationError(ValueError):
     """A truncated Fock expansion left more probability above the cutoff than allowed."""
+
+
+def _require_finite(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +58,7 @@ class Coherent:
     phi: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "gamma", "phi")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
 
@@ -63,6 +76,7 @@ class Squeezed:
     theta_sq: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "r", "theta_sq")
         if self.r < 0:
             raise ValueError("squeezing magnitude r must be non-negative")
 
@@ -73,6 +87,9 @@ class Cat:
 
     alpha: complex
     phi_cat: float
+
+    def __post_init__(self):
+        _require_finite(self, "alpha", "phi_cat")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +131,10 @@ def _finish(amps: np.ndarray, spec: PointerSpec, leak_tol: float) -> PointerStat
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     # c_0 = exp(-|alpha|^2 / 2), c_n = c_{n-1} * alpha / sqrt(n)
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return amps
+    steps = np.empty(dim, dtype=complex)
+    steps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    steps[1:] = alpha / np.sqrt(np.arange(1.0, dim))
+    return np.cumprod(steps)
 
 
 def coherent_state(gamma: float, phi: float = 0.0, dim: int = DEFAULT_DIM,
@@ -157,15 +173,15 @@ def squeezed_state(alpha: complex, r: float, theta_sq: float = 0.0,
     phase = cmath.exp(1j * theta_sq)
     gamma_eff = alpha * ch + alpha.conjugate() * phase * sh
 
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = cmath.exp(-0.5 * abs(alpha) ** 2
-                        - 0.5 * alpha.conjugate() ** 2 * phase * math.tanh(r)) / math.sqrt(ch)
-    if dim > 1:
-        amps[1] = gamma_eff * amps[0] / ch
+    b0 = cmath.exp(-0.5 * abs(alpha) ** 2
+                   - 0.5 * alpha.conjugate() ** 2 * phase * math.tanh(r)) / math.sqrt(ch)
+    amps = [b0, gamma_eff * b0 / ch]
+    phase_sh = phase * sh
+    roots = np.sqrt(np.arange(float(dim))).tolist()
     for n in range(1, dim - 1):
-        amps[n + 1] = (gamma_eff * amps[n]
-                       - phase * sh * math.sqrt(n) * amps[n - 1]) / (ch * math.sqrt(n + 1))
-    return _finish(amps, spec, leak_tol)
+        amps.append((gamma_eff * amps[n]
+                     - phase_sh * roots[n] * amps[n - 1]) / (ch * roots[n + 1]))
+    return _finish(np.array(amps[:dim], dtype=complex), spec, leak_tol)
 
 
 def squeezed_amplitudes_closed_form(alpha: complex, r: float, theta_sq: float,
@@ -206,14 +222,19 @@ def cat_state(alpha: complex, phi_cat: float, dim: int = DEFAULT_DIM,
     Fock amplitudes are
     ``N^{-1/2} exp(-|a|^2/2) a^n / sqrt(n!) * (1 + e^{i phi} (-1)^n)`` with
     ``N = 2 + 2 exp(-2|a|^2) cos(phi)``; only this square-root-factorial
-    convention is consistent with that normalization constant.
+    convention is consistent with that normalization constant.  ``N`` is
+    evaluated as ``4 cos^2(phi/2) + 2 cos(phi) expm1(-2|a|^2)``: the first term
+    equals ``|1 + e^{i phi}|^2`` of the parity factor below, so the odd cat at
+    small ``|a|`` and ``phi = pi`` keeps unit norm instead of cancelling.
     """
     alpha = complex(alpha)
     spec = Cat(alpha=alpha, phi_cat=phi_cat)
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    norm_const = 2.0 + 2.0 * math.exp(-2.0 * abs(alpha) ** 2) * math.cos(phi_cat)
-    if norm_const < 1e-15:
+    norm_const = 4.0 * math.cos(0.5 * phi_cat) ** 2 \
+        + 2.0 * math.cos(phi_cat) * math.expm1(-2.0 * abs(alpha) ** 2)
+    # Below (2 eps)^2 the norm is the rounding of phi_cat near pi, not the state.
+    if norm_const <= _CAT_NORM_FLOOR:
         raise ValueError(
             "degenerate zero-norm cat state (alpha = 0 with phi_cat = pi); no state to build"
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -30,25 +31,41 @@ import numpy as np
 from .measurement_engine import (
     MeasurementConfig,
     equivalence_deviations,
+    fail_first_row,
     final_pointer_analytic,
+    post_select_rows,
 )
 from .observables import (
+    SNR_MODE_FINAL,
     QuadratureSpec,
     SnrInput,
+    check_snr_inputs,
     closed_form_check,
     mandel_q,
+    mandel_q_rows,
     number_distribution,
+    number_distribution_rows,
     quadrature_mean,
+    quadrature_mean_rows,
     quadrature_second_moment,
+    quadrature_second_moment_rows,
     snr,
+    snr_rows,
 )
 from .pointer_states import DEFAULT_DIM, Cat, Coherent, PointerSpec, Squeezed, build_pointer
-from .qubit_system import SelectionConfig, modular_value, selection_for_modular_value
+from .qubit_system import (
+    SelectionConfig,
+    modular_from_weak,
+    modular_value,
+    selection_for_modular_value,
+    weak_value,
+)
 
 CSV_HEADER = ("quantity,family,n,alpha_re,alpha_im,gamma,phi,r,theta_sq,phi_cat,"
               "g,theta1,phi1,modval_re,modval_im,m,dim,quad_theta,n_total,"
               "snr_mode,ps_convention,ps_exact,ps_paper,truncation_leak,value")
 _COLUMNS = CSV_HEADER.split(",")
+_EMPTY_ROW = dict.fromkeys(_COLUMNS, "")
 
 QUANTITIES = ("p_n", "mandel_q", "snr", "quad_mean", "quad_second")
 
@@ -56,6 +73,9 @@ QUANTITIES = ("p_n", "mandel_q", "snr", "quad_mean", "quad_second")
 SWEEPABLE = {"gamma", "phi", "alpha_re", "alpha_im", "r", "theta_sq", "phi_cat",
              "g", "theta1", "phi1", "modval", "m", "dim", "quad_theta", "n", "n_total"}
 _INT_PARAMS = {"m", "dim", "n", "n_total"}
+
+#: Most rows evaluated or formatted at once; bounds the work arrays of a sweep.
+BLOCK_ROWS = 128
 
 _SWEEP_DEFAULTS = {
     "gamma": 2.0, "phi": 0.0,
@@ -96,9 +116,8 @@ def _selection(p: dict) -> SelectionConfig:
     return SelectionConfig(theta1=p["theta1"], phi1=p["phi1"], g=p["g"])
 
 
-def evaluate_point(family: str, quantity: str, params: dict,
-                   snr_mode: str = "shift", ps_convention: str = "paper") -> dict:
-    """Run the full pipeline at one parameter point and return a CSV row dict."""
+def _resolve(family: str, params: dict) -> tuple[dict, MeasurementConfig]:
+    """Defaults filled in and every parameter check of one grid point, in pipeline order."""
     p = dict(_SWEEP_DEFAULTS)
     p.update({k: v for k, v in params.items() if v is not None})
     for key in _INT_PARAMS:
@@ -106,21 +125,67 @@ def evaluate_point(family: str, quantity: str, params: dict,
     if p["dim"] < p["m"] + 3:
         raise ValueError(f"dim={p['dim']} too small for projector level m={p['m']} "
                          f"(need dim >= m + 3)")
-    sel = _selection({**p, "modval": params.get("modval")})
+    sel = _selection(p)
     spec = _pointer_spec(family, p)
-    cfg = MeasurementConfig(sel=sel, pointer=spec, m=p["m"], dim=p["dim"])
-    initial = build_pointer(spec, p["dim"])
+    return p, MeasurementConfig(sel=sel, pointer=spec, m=p["m"], dim=p["dim"])
+
+
+def _check_level(n, dim: int) -> None:
+    """Row-wise check that the photon numbers ``n`` lie in the truncated basis."""
+    fail_first_row((n < 0) | (n >= dim), lambda i: ValueError(
+        f"photon number n={int(n[i])} outside the truncated basis"))
+
+
+def _row(family: str, quantity: str, p: dict, cfg: MeasurementConfig, mv: complex,
+         ps_exact: float, ps_paper: float, leak: float, value: float,
+         snr_mode: str, ps_convention: str) -> dict:
+    """One CSV row: the full parameter echo of a grid point and its value."""
+    sel, alpha = cfg.sel, cfg.pointer.alpha
+    row = dict(_EMPTY_ROW)
+    row.update({
+        "quantity": quantity, "family": family,
+        "alpha_re": alpha.real, "alpha_im": alpha.imag,
+        "g": sel.g, "theta1": sel.theta1, "phi1": sel.phi1,
+        "modval_re": mv.real, "modval_im": mv.imag,
+        "m": p["m"], "dim": p["dim"],
+        "ps_exact": ps_exact, "ps_paper": ps_paper,
+        "truncation_leak": leak,
+        "value": value,
+    })
+    if family == "coherent":
+        row["gamma"], row["phi"] = p["gamma"], p["phi"]
+    elif family == "squeezed":
+        row["r"], row["theta_sq"] = p["r"], p["theta_sq"]
+    else:
+        row["phi_cat"] = p["phi_cat"]
+    if quantity == "p_n":
+        row["n"] = p["n"]
+    if quantity in ("snr", "quad_mean", "quad_second"):
+        row["quad_theta"] = p["quad_theta"]
+    if quantity == "snr":
+        row["n_total"] = p["n_total"]
+        row["snr_mode"] = snr_mode
+        row["ps_convention"] = ps_convention
+    return row
+
+
+def evaluate_point(family: str, quantity: str, params: dict,
+                   snr_mode: str = "shift", ps_convention: str = "paper") -> dict:
+    """Run the full pipeline at one parameter point and return a CSV row dict.
+
+    This is the scalar reference route: it builds the pointer and takes the
+    modular value from the 2x2 matrix exponential for this point alone.
+    ``run_sweep`` computes the same rows with the columnar engine.
+    """
+    p, cfg = _resolve(family, params)
+    initial = build_pointer(cfg.pointer, cfg.dim)
     final = final_pointer_analytic(cfg)
-    mv = modular_value(sel)
+    mv = modular_value(cfg.sel)
 
     quad = QuadratureSpec(theta=p["quad_theta"])
-    is_snr = quantity == "snr"
-    is_quad = quantity in ("snr", "quad_mean", "quad_second")
     if quantity == "p_n":
-        level = p["n"]
-        if not 0 <= level < p["dim"]:
-            raise ValueError(f"photon number n={level} outside the truncated basis")
-        value = float(number_distribution(final)[level])
+        _check_level(np.array([p["n"]]), cfg.dim)
+        value = float(number_distribution(final)[p["n"]])
     elif quantity == "mandel_q":
         value = mandel_q(final)
     elif quantity == "quad_mean":
@@ -133,36 +198,8 @@ def evaluate_point(family: str, quantity: str, params: dict,
                     SnrInput(n_total=p["n_total"], ps=ps, signal_mode=snr_mode))
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
-
-    alpha = {"coherent": Coherent(p["gamma"], p["phi"]).alpha,
-             "squeezed": complex(p["alpha_re"], p["alpha_im"]),
-             "cat": complex(p["alpha_re"], p["alpha_im"])}[family]
-    row = {col: "" for col in _COLUMNS}
-    row.update({
-        "quantity": quantity, "family": family,
-        "alpha_re": alpha.real, "alpha_im": alpha.imag,
-        "g": sel.g, "theta1": sel.theta1, "phi1": sel.phi1,
-        "modval_re": mv.real, "modval_im": mv.imag,
-        "m": p["m"], "dim": p["dim"],
-        "ps_exact": final.ps_exact, "ps_paper": final.ps_paper,
-        "truncation_leak": initial.truncation_leak,
-        "value": value,
-    })
-    if family == "coherent":
-        row["gamma"], row["phi"] = p["gamma"], p["phi"]
-    elif family == "squeezed":
-        row["r"], row["theta_sq"] = p["r"], p["theta_sq"]
-    else:
-        row["phi_cat"] = p["phi_cat"]
-    if quantity == "p_n":
-        row["n"] = p["n"]
-    if is_quad:
-        row["quad_theta"] = p["quad_theta"]
-    if is_snr:
-        row["n_total"] = p["n_total"]
-        row["snr_mode"] = snr_mode
-        row["ps_convention"] = ps_convention
-    return row
+    return _row(family, quantity, p, cfg, mv, final.ps_exact, final.ps_paper,
+                initial.truncation_leak, value, snr_mode, ps_convention)
 
 
 def evaluate_row(row: dict) -> float:
@@ -189,15 +226,37 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _format_column(values: list) -> list[str]:
+    """``_fmt`` of each value; a column's repeated values are formatted once.
+
+    Equal values format alike when the column holds one type and no zero
+    (``0.0 == -0.0``, yet they print differently); otherwise each is formatted.
+    """
+    distinct = set(values)
+    if len(set(map(type, values))) == 1 and 0 not in distinct:
+        text = {value: _fmt(value) for value in distinct}
+        return [text[value] for value in values]
+    return [_fmt(value) for value in values]
+
+
 def rows_to_csv(rows: Sequence[dict]) -> str:
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in _COLUMNS))
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        columns = [_format_column([row[col] for row in block]) for col in _COLUMNS]
+        lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the Cartesian product of the swept parameters, in input order."""
+    """Evaluate the Cartesian product of the swept parameters, in input order.
+
+    Columnar engine: each row is resolved and checked as in
+    :func:`evaluate_point`, each distinct pointer is built once and each
+    distinct selection's modular value is taken once from its closed form, and
+    the rows are then evaluated in blocks of at most ``BLOCK_ROWS`` that share
+    one ``dim``.  An invalid grid fails with the error of its first invalid row.
+    """
     for name, values in spec.sweeps:
         if name not in SWEEPABLE:
             raise ValueError(f"parameter {name!r} cannot be swept")
@@ -205,28 +264,92 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             raise ValueError(f"sweep over {name!r} has no values")
     if spec.quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {spec.quantity!r}")
-
-    rows = []
-    grids = [values for _, values in spec.sweeps]
     names = [name for name, _ in spec.sweeps]
-    for combo in _cartesian(grids):
+    given = {k for k, v in spec.fixed.items() if v is not None} | set(names)
+    clash = sorted(given & {"theta1", "phi1", "g"}) if "modval" in given else []
+    if clash:
+        raise ValueError(f"modval sets theta1 = arctan(modval), phi1 = pi/2 and g = pi/2; "
+                         f"it cannot be combined with {', '.join(clash)}")
+
+    pointers: dict = {}    # (pointer spec, dim) -> PointerState
+    selections: dict = {}  # SelectionConfig -> (modular value, cos^2 theta1)
+    rows: list[dict] = []
+    block: list[tuple] = []
+    failure = None
+    for combo in itertools.product(*(values for _, values in spec.sweeps)):
         params = dict(spec.fixed)
-        params.update(dict(zip(names, combo)))
-        rows.append(evaluate_point(spec.family, spec.quantity, params,
-                                   snr_mode=spec.snr_mode,
-                                   ps_convention=spec.ps_convention))
+        params.update(zip(names, combo))
+        try:
+            p, cfg = _resolve(spec.family, params)
+            key = (cfg.pointer, cfg.dim)
+            if key not in pointers:
+                pointers[key] = build_pointer(cfg.pointer, cfg.dim)
+            if cfg.sel not in selections:
+                selections[cfg.sel] = (modular_from_weak(weak_value(cfg.sel), cfg.sel.g),
+                                       math.cos(cfg.sel.theta1) ** 2)
+        except (ValueError, ArithmeticError) as exc:
+            failure = exc
+            break
+        if block and (len(block) == BLOCK_ROWS or block[0][1].dim != cfg.dim):
+            rows += _evaluate_block(spec, block)
+            block = []
+        block.append((p, cfg, pointers[key], *selections[cfg.sel]))
+    if block:
+        rows += _evaluate_block(spec, block)
+    if failure is not None:
+        raise failure
     if spec.out_path is not None:
         write_csv(rows, spec.out_path)
     return rows
 
 
-def _cartesian(grids):
-    if not grids:
-        yield ()
-        return
-    for head in grids[0]:
-        for tail in _cartesian(grids[1:]):
-            yield (head,) + tail
+def _evaluate_block(spec: SweepSpec, block: list[tuple]) -> list[dict]:
+    """CSV rows of one block; on failure, the error of its first failing row."""
+    try:
+        return _block_rows(spec, block)
+    except (ValueError, ArithmeticError) as exc:
+        failure = exc
+    # Each check runs over the whole block before the next one, so a row
+    # before the one that failed may still fail a later check.
+    if getattr(failure, "row", 0):
+        _evaluate_block(spec, block[:failure.row])
+    raise failure
+
+
+def _block_rows(spec: SweepSpec, block: list[tuple]) -> list[dict]:
+    params, cfgs, pointers, mvs, ps_paper = zip(*block)
+    initial = np.stack([pointer.amplitudes for pointer in pointers])
+    amps = initial.copy()
+    ps_paper = np.array(ps_paper)
+    ps_exact = post_select_rows(amps, np.array([cfg.m for cfg in cfgs]), np.array(mvs), ps_paper)
+
+    quantity = spec.quantity
+    if quantity == "p_n":
+        n = np.array([p["n"] for p in params])
+        _check_level(n, amps.shape[1])
+        values = number_distribution_rows(amps)[np.arange(len(block)), n]
+    elif quantity == "mandel_q":
+        values = mandel_q_rows(amps)
+    else:
+        theta = np.array([p["quad_theta"] for p in params])
+        if quantity == "quad_mean":
+            values = quadrature_mean_rows(amps, theta)
+        elif quantity == "quad_second":
+            values = quadrature_second_moment_rows(amps, theta)
+        else:
+            n_total = np.array([p["n_total"] for p in params])
+            ps = ps_paper if spec.ps_convention == "paper" else ps_exact
+            check_snr_inputs(n_total, ps, spec.snr_mode)
+            mean_initial = None if spec.snr_mode == SNR_MODE_FINAL \
+                else quadrature_mean_rows(initial, theta)
+            values = snr_rows(quadrature_mean_rows(amps, theta),
+                              quadrature_second_moment_rows(amps, theta),
+                              mean_initial, n_total, ps)
+    return [_row(spec.family, quantity, p, cfg, mv, ps_e, ps_p, pointer.truncation_leak,
+                 value, spec.snr_mode, spec.ps_convention)
+            for p, cfg, pointer, mv, ps_e, ps_p, value
+            in zip(params, cfgs, pointers, mvs, ps_exact.tolist(), ps_paper.tolist(),
+                   values.tolist())]
 
 
 def write_csv(rows: Sequence[dict], path: Path) -> Path:

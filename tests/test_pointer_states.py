@@ -198,3 +198,26 @@ def test_amplitudes_are_read_only():
     state = coherent_state(1.0, 0.0, dim=32)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-5, 1e-6, 1e-7, 1e-9])
+def test_odd_cat_at_small_alpha_is_normalized(alpha):
+    # the odd cat (phi_cat = pi) tends to the Fock state |1> as alpha -> 0
+    p = np.abs(cat_state(alpha, math.pi, dim=16).amplitudes) ** 2
+    assert abs(p.sum() - 1.0) < 1e-12
+    assert p[1] > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("make,param", [
+    pytest.param(lambda bad: Coherent(bad, 0.0), "gamma", id="coherent-gamma"),
+    pytest.param(lambda bad: Coherent(1.0, bad), "phi", id="coherent-phi"),
+    pytest.param(lambda bad: Squeezed(complex(bad, 0.0), 0.5, 0.0), "alpha", id="squeezed-alpha"),
+    pytest.param(lambda bad: Squeezed(1.0 + 0j, bad, 0.0), "r", id="squeezed-r"),
+    pytest.param(lambda bad: Squeezed(1.0 + 0j, 0.5, bad), "theta_sq", id="squeezed-theta_sq"),
+    pytest.param(lambda bad: Cat(complex(0.0, bad), 0.0), "alpha", id="cat-alpha"),
+    pytest.param(lambda bad: Cat(1.0 + 0j, bad), "phi_cat", id="cat-phi_cat"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_specs_reject_non_finite_parameters(make, param, bad):
+    with pytest.raises(ValueError, match=f"{param} must be finite"):
+        make(bad)

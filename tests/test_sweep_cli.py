@@ -216,3 +216,34 @@ def test_cli_errata(tmp_path, capsys):
     assert main(["errata", "--out", str(out)]) == 0
     assert "Eq. 31" in capsys.readouterr().out
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv,param", [
+    (["--pointer", "coherent", "--gamma", "nan"], "gamma"),
+    (["--pointer", "coherent", "--phi", "inf"], "phi"),
+    (["--pointer", "squeezed", "--alpha-re", "nan"], "alpha"),
+    (["--pointer", "squeezed", "--r", "inf"], "r"),
+    (["--pointer", "squeezed", "--theta-sq", "nan"], "theta_sq"),
+    (["--pointer", "cat", "--alpha-im=-inf"], "alpha"),
+    (["--pointer", "cat", "--phi-cat", "nan"], "phi_cat"),
+    (["--pointer", "coherent", "--sweep", "gamma=inf,2"], "gamma"),
+])
+def test_cli_rejects_non_finite_pointer_parameters(tmp_path, capsys, argv, param):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 2
+    assert f"{param} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--modval", "5", "--theta1", "0.1"],
+    ["--modval", "5", "--phi1", "0.2"],
+    ["--modval", "5", "--g", "1.0"],
+    ["--modval", "5", "--sweep", "theta1=0.1,0.2"],
+    ["--sweep", "modval=1,5", "--g", "1.0"],
+])
+def test_cli_rejects_modval_with_selection_parameters(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 2
+    assert "modval" in capsys.readouterr().err
+    assert not out.exists()
